@@ -3,8 +3,7 @@
 // and prints the rows/series the paper reports, alongside the paper's own
 // numbers where the comparison is meaningful. Absolute values come from
 // the simulated substrates; the asserted property is the *shape* — who
-// wins, by roughly what factor, where crossovers fall (EXPERIMENTS.md
-// records a full paper-vs-measured ledger).
+// wins, by roughly what factor, where crossovers fall.
 //
 // The synthetic store scale defaults to 5% of the paper's 16.6k-app crawl;
 // set GAUGENN_SCALE=1.0 for a full-scale regeneration:
@@ -56,7 +55,7 @@ func study(b *testing.B) *core.StudyResult {
 	studyOnce.Do(func() {
 		cfg := core.DefaultConfig(studySeed, studyScale())
 		cfg.UseHTTP = false // packaging+extraction dominate; HTTP is covered by tests
-		studyRes, studyErr = core.RunStudy(cfg)
+		studyRes, studyErr = core.Run(context.Background(), cfg)
 	})
 	if studyErr != nil {
 		b.Fatal(studyErr)
@@ -410,7 +409,7 @@ func BenchmarkSection63_AccelerationTraces(b *testing.B) {
 func TestStudyShapeInvariants(t *testing.T) {
 	cfg := core.DefaultConfig(studySeed, 0.04)
 	cfg.UseHTTP = false
-	res, err := core.RunStudy(cfg)
+	res, err := core.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

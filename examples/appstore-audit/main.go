@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	// v2: the audit runs under a signal-cancellable context — Ctrl-C
+	// The audit runs under a signal-cancellable context — Ctrl-C
 	// drains the crawl instead of killing it mid-extraction.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	// v2: the sweep runs under a signal-cancellable context; Ctrl-C
+	// The sweep runs under a signal-cancellable context; Ctrl-C
 	// drains the per-device queues and aborts in-flight rig choreography.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	// v2: scenarios, the study and the distribution sweeps all share one
+	// Scenarios, the study and the distribution sweeps all share one
 	// signal-cancellable context.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	// v2: long-running explorations share one signal-cancellable context.
+	// Long-running explorations share one signal-cancellable context.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	// --- DNN co-habitation (Section 8.1) -------------------------------

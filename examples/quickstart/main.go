@@ -1,4 +1,4 @@
-// Quickstart: run a small end-to-end gaugeNN study through the v2
+// Quickstart: run a small end-to-end gaugeNN study through the
 // context-first API — compose a Study from options, run it under a
 // signal-cancellable context (Ctrl-C stops the pipeline cleanly), and
 // print the headline numbers of the paper's Tables 2 and 3, then
@@ -52,8 +52,7 @@ func main() {
 	fmt.Printf("identified: %d/%d (paper: 91.9%%)\n\n", identified, d21.TotalModels)
 
 	// Benchmark a few extracted models on a low-tier and high-tier device
-	// — the v2 Bench call: a context plus a RunSpec instead of six
-	// positional parameters.
+	// through Bench: a context plus a RunSpec.
 	models, err := gaugenn.SelectBenchModels(res.Corpus21, 5)
 	if err != nil {
 		log.Fatal(err)

@@ -1,15 +1,14 @@
 package gaugenn_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/gaugenn/gaugenn"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
-	cfg := gaugenn.DefaultConfig(11, 0.02)
-	cfg.UseHTTP = false
-	res, err := gaugenn.RunStudy(cfg)
+	res, err := gaugenn.NewStudy(gaugenn.WithSeed(11), gaugenn.WithScale(0.02)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +19,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := gaugenn.DeviceRun("S21", "cpu", models, 4, 1, 2)
+	out, err := gaugenn.Bench(context.Background(), gaugenn.RunSpec{Device: "S21", Backend: "cpu", Threads: 4, Batch: 1, Runs: 2}, models)
 	if err != nil {
 		t.Fatal(err)
 	}

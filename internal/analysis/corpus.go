@@ -64,9 +64,9 @@ type AppInfo struct {
 // Corpus is a full snapshot's analysis input: per-instance records plus
 // per-unique decoded data.
 //
-// AddReport and AddApp are safe for concurrent use; the read-side methods
-// (Dataset, TaskBreakdown, ...) assume ingestion has completed, matching
-// the pipeline's ingest-then-analyse phases. SortedUniques and
+// AddReportContext and AddApp are safe for concurrent use; the read-side
+// methods (Dataset, TaskBreakdown, ...) assume ingestion has completed,
+// matching the pipeline's ingest-then-analyse phases. SortedUniques and
 // InstancesSharedAcrossApps are memoised; the memos are invalidated by
 // ingestion.
 type Corpus struct {
@@ -123,17 +123,9 @@ func (c *Corpus) AddApp(info AppInfo) {
 	c.Apps = append(c.Apps, info)
 }
 
-// AddReport ingests one app's extraction report, profiling and classifying
-// any model checksum seen for the first time (across every corpus sharing
-// this corpus' cache).
-//
-// Deprecated: use AddReportContext, which bounds the per-checksum
-// analysis waits with a context.
-func (c *Corpus) AddReport(category string, rep *extract.Report) error {
-	return c.AddReportContext(context.Background(), category, rep)
-}
-
-// AddReportContext is AddReport with a context bounding the per-checksum
+// AddReportContext ingests one app's extraction report, profiling and
+// classifying any model checksum seen for the first time (across every
+// corpus sharing this corpus' cache). ctx bounds the per-checksum
 // single-flight analysis (see UniqueCache.get for the cancellation
 // contract).
 func (c *Corpus) AddReportContext(ctx context.Context, category string, rep *extract.Report) error {
@@ -326,7 +318,7 @@ func (c *Corpus) InstancesSharedAcrossApps() float64 {
 	}
 	if c.indexedRecords != len(c.Records) {
 		// Records were inserted directly (test fixtures, possibly mixed
-		// with AddReport calls); rebuild the index from scratch.
+		// with AddReportContext calls); rebuild the index from scratch.
 		c.appsPerSum = map[graph.Checksum]map[string]struct{}{}
 		c.recordsPerSum = map[graph.Checksum]int{}
 		c.sharedRecords = 0

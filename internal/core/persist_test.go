@@ -1,14 +1,15 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
 	"github.com/gaugenn/gaugenn/internal/analysis"
+	"github.com/gaugenn/gaugenn/internal/event"
 	"github.com/gaugenn/gaugenn/internal/store"
 )
 
@@ -28,7 +29,7 @@ func TestRunStudyWarmRerunZeroDecodesByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	cfg := cachedConfig(dir, false)
 
-	cold, err := RunStudy(cfg)
+	cold, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestRunStudyWarmRerunZeroDecodesByteIdentical(t *testing.T) {
 	// share unchanged apps with byte-identical APKs, and a report one
 	// snapshot persists is visible to the other mid-run.
 
-	warm, err := RunStudy(cfg)
+	warm, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +108,11 @@ func TestRunStudyWarmRerunZeroDecodesByteIdentical(t *testing.T) {
 func TestRunStudyWarmRerunHTTP(t *testing.T) {
 	dir := t.TempDir()
 	cfg := cachedConfig(dir, true)
-	cold, err := RunStudy(cfg)
+	cold, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunStudy(cfg)
+	warm, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,18 +132,18 @@ func TestRunStudyScaleUpIncremental(t *testing.T) {
 	dir := t.TempDir()
 	small := cachedConfig(dir, false)
 	small.Scale = 0.02
-	if _, err := RunStudy(small); err != nil {
+	if _, err := Run(context.Background(), small); err != nil {
 		t.Fatal(err)
 	}
 	grown := small
 	grown.Scale = 0.04
-	warm, err := RunStudy(grown)
+	warm, err := Run(context.Background(), grown)
 	if err != nil {
 		t.Fatal(err)
 	}
 	scratch := grown
 	scratch.CacheDir = t.TempDir()
-	cold, err := RunStudy(scratch)
+	cold, err := Run(context.Background(), scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestRunStudyScaleUpIncremental(t *testing.T) {
 func TestRunStudyHealsPoisonedStore(t *testing.T) {
 	dir := t.TempDir()
 	cfg := cachedConfig(dir, false)
-	cold, err := RunStudy(cfg)
+	cold, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestRunStudyHealsPoisonedStore(t *testing.T) {
 	if err := os.RemoveAll(filepath.Join(dir, "analysis")); err != nil {
 		t.Fatal(err)
 	}
-	healed, err := RunStudy(cfg)
+	healed, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("poisoned store must self-heal, got: %v", err)
 	}
@@ -200,7 +201,7 @@ func TestRunStudyHealsPoisonedStore(t *testing.T) {
 		t.Fatal("healed run diverges from the original")
 	}
 	// The heal re-persisted everything: the next run is fully warm again.
-	warm, err := RunStudy(cfg)
+	warm, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,67 +210,85 @@ func TestRunStudyHealsPoisonedStore(t *testing.T) {
 	}
 }
 
-// TestRunStudyStageProgress checks the staged engine's observability: all
-// three stages report, totals are announced up front, counts never go
-// backwards, and the persist stage only exists for cached runs.
+// TestRunStudyStageProgress checks the staged engine's typed progress
+// stream: every stage of both snapshots opens with a StageStart carrying
+// its total, counts never go backwards, each stage completes, and the
+// persist stage only exists for cached runs.
 func TestRunStudyStageProgress(t *testing.T) {
+	type stageKey struct{ stage, snapshot string }
 	type stageState struct {
+		started     bool
 		last, total int
 	}
 	var mu sync.Mutex
-	stages := map[string]*stageState{}
-	record := func(stage string, done, total int) {
+	stages := map[stageKey]*stageState{}
+	record := func(ev event.Event) {
+		var k stageKey
+		var done, total int
+		switch v := ev.(type) {
+		case event.StageStart:
+			k, total = stageKey{v.Stage, v.Snapshot}, v.Total
+		case event.StageProgress:
+			k, done, total = stageKey{v.Stage, v.Snapshot}, v.Done, v.Total
+		default:
+			return
+		}
 		mu.Lock()
 		defer mu.Unlock()
-		s := stages[stage]
+		s := stages[k]
 		if s == nil {
 			s = &stageState{}
-			stages[stage] = s
+			stages[k] = s
+		}
+		if _, isStart := ev.(event.StageStart); isStart {
+			s.started = true
+		} else if !s.started {
+			t.Errorf("stage %v progressed before its StageStart", k)
 		}
 		if done < s.last {
-			t.Errorf("stage %s went backwards: %d after %d", stage, done, s.last)
+			t.Errorf("stage %v went backwards: %d after %d", k, done, s.last)
 		}
 		s.last, s.total = done, total
 	}
 
 	cfg := cachedConfig(t.TempDir(), false)
-	cfg.Progress = record
-	if _, err := RunStudy(cfg); err != nil {
+	cfg.OnEvent = record
+	if _, err := Run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	for _, label := range []string{"2020", "2021"} {
-		for _, prefix := range []string{"crawl-", "analyse-", "persist-"} {
-			s := stages[prefix+label]
+		for _, stage := range []string{"crawl", "analyse", "persist"} {
+			s := stages[stageKey{stage, label}]
 			if s == nil {
-				t.Fatalf("stage %s%s never reported", prefix, label)
+				t.Fatalf("stage %s-%s never reported", stage, label)
 			}
 			if s.last != s.total || s.total == 0 {
-				t.Fatalf("stage %s%s incomplete: %d/%d", prefix, label, s.last, s.total)
+				t.Fatalf("stage %s-%s incomplete: %d/%d", stage, label, s.last, s.total)
 			}
 		}
-		if stages["analyse-"+label].total != stages["crawl-"+label].total {
+		if stages[stageKey{"analyse", label}].total != stages[stageKey{"crawl", label}].total {
 			t.Fatalf("analyse-%s total diverges from crawl total", label)
 		}
 	}
 
 	// Without a cache dir there is no persist stage.
 	mu.Lock()
-	stages = map[string]*stageState{}
+	stages = map[stageKey]*stageState{}
 	mu.Unlock()
 	plain := DefaultConfig(77, 0.02)
 	plain.UseHTTP = false
-	plain.Progress = record
-	if _, err := RunStudy(plain); err != nil {
+	plain.OnEvent = record
+	if _, err := Run(context.Background(), plain); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	for stage := range stages {
-		if strings.HasPrefix(stage, "persist-") {
-			t.Fatalf("uncached run reported %s", stage)
+	for k := range stages {
+		if k.stage == "persist" {
+			t.Fatalf("uncached run reported %s-%s", k.stage, k.snapshot)
 		}
 	}
-	if stages["analyse-2021"] == nil {
+	if stages[stageKey{"analyse", "2021"}] == nil {
 		t.Fatal("analyse stage must report for uncached runs too")
 	}
 }

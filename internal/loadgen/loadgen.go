@@ -179,8 +179,8 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.sum.SubmitToFirstEvent = quantiles(l.firstEv)
-	l.sum.QueueWait = quantiles(l.qWait)
+	l.sum.SubmitToFirstEvent = summarise(l.firstEv)
+	l.sum.QueueWait = summarise(l.qWait)
 	l.sum.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if bad := l.sum.healthy(); len(bad) > 0 {
 		return &l.sum, fmt.Errorf("loadgen: invariants violated: %v", bad)

@@ -116,17 +116,37 @@ func TestLoadRunAgainstLiveServer(t *testing.T) {
 	}
 }
 
+// TestQuantiles pins the summary's nearest-rank definition on fixed
+// samples: the p-quantile is the ceil(p*N)-th smallest sample.
 func TestQuantiles(t *testing.T) {
-	if q := quantiles(nil); q.N != 0 || q.P99 != 0 {
-		t.Fatalf("empty quantiles = %+v", q)
+	if q := summarise(nil); q != (Quantiles{}) {
+		t.Fatalf("empty summary = %+v, want zero value", q)
 	}
-	var samples []time.Duration
-	for i := 1; i <= 100; i++ {
-		samples = append(samples, time.Duration(i)*time.Millisecond)
+	ms := func(vs ...int) []time.Duration {
+		out := make([]time.Duration, len(vs))
+		for i, v := range vs {
+			out[i] = time.Duration(v) * time.Millisecond
+		}
+		return out
 	}
-	q := quantiles(samples)
-	if q.N != 100 || q.P50 != 50 || q.P99 != 99 || q.Max != 100 {
-		t.Fatalf("quantiles = %+v", q)
+	var hundred []int
+	for i := 100; i >= 1; i-- { // unsorted input
+		hundred = append(hundred, i)
+	}
+	for _, tc := range []struct {
+		samples []time.Duration
+		want    Quantiles
+	}{
+		{ms(7), Quantiles{N: 1, P50: 7, P90: 7, P99: 7, Max: 7}},
+		{ms(hundred...), Quantiles{N: 100, P50: 50, P90: 90, P99: 99, Max: 100}},
+		// N=7: p50 is the 4th, p90 the 7th (ceil 6.3), p99 the 7th.
+		{ms(70, 10, 60, 20, 50, 30, 40), Quantiles{N: 7, P50: 40, P90: 70, P99: 70, Max: 70}},
+		// N=64 (the recorded overload run's size): p99 is the 64th.
+		{ms(hundred[36:]...), Quantiles{N: 64, P50: 32, P90: 58, P99: 64, Max: 64}},
+	} {
+		if got := summarise(tc.samples); got != tc.want {
+			t.Errorf("summarise(%d samples) = %+v, want %+v", len(tc.samples), got, tc.want)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 package loadgen
 
 import (
-	"sort"
 	"time"
+
+	"github.com/gaugenn/gaugenn/internal/stats"
 )
 
 // Quantiles summarises one latency distribution in milliseconds.
@@ -14,32 +15,26 @@ type Quantiles struct {
 	Max float64 `json:"max_ms"`
 }
 
-// quantiles computes nearest-rank percentiles over samples. An empty
-// sample set yields the zero value (N=0), which downstream SLO checks
-// must treat as "no data", not "zero latency".
-func quantiles(samples []time.Duration) Quantiles {
+// summarise computes nearest-rank percentiles (stats.ECDF.Quantile: the
+// smallest sample with at least a p share of samples at or below it)
+// over samples, in milliseconds. An empty sample set yields the zero
+// value (N=0), which downstream SLO checks must treat as "no data", not
+// "zero latency".
+func summarise(samples []time.Duration) Quantiles {
 	if len(samples) == 0 {
 		return Quantiles{}
 	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	rank := func(p float64) time.Duration {
-		i := int(p*float64(len(s))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(s) {
-			i = len(s) - 1
-		}
-		return s[i]
+	ms := make([]float64, len(samples))
+	for i, d := range samples {
+		ms[i] = float64(d) / float64(time.Millisecond)
 	}
+	e := stats.NewECDF(ms)
 	return Quantiles{
-		N:   len(s),
-		P50: ms(rank(0.50)),
-		P90: ms(rank(0.90)),
-		P99: ms(rank(0.99)),
-		Max: ms(s[len(s)-1]),
+		N:   e.Len(),
+		P50: e.Quantile(0.50),
+		P90: e.Quantile(0.90),
+		P99: e.Quantile(0.99),
+		Max: e.Quantile(1),
 	}
 }
 

@@ -122,8 +122,7 @@ func DistHeaders(label string) []string {
 	return []string{label + " avg±std", label + " med", label + " min", label + " max"}
 }
 
-// Comparison is a paper-vs-measured line item for EXPERIMENTS.md-style
-// reporting.
+// Comparison is a paper-vs-measured line item.
 type Comparison struct {
 	Metric   string
 	Paper    float64

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"container/list"
 	"context"
-	"sync"
 	"sync/atomic"
 
 	"github.com/gaugenn/gaugenn/internal/index"
@@ -13,63 +11,6 @@ import (
 // path. The warm-path contract — indexed endpoints never decode a corpus
 // — is asserted against it by TestWarmPathDecodesNoCorpus.
 var corpusDecodes atomic.Int64
-
-// indexLRU bounds the per-CAS-key index memoisation, mirroring corpusLRU.
-// Indexes are orders of magnitude smaller than decoded corpora (columns
-// and bitsets, no per-layer profiles), so the bound is generous; it
-// exists so a store with thousands of snapshots cannot grow the process
-// without limit.
-type indexLRU struct {
-	mu    sync.Mutex
-	max   int
-	order *list.List // front = most recently used; values are *indexEntry
-	items map[string]*list.Element
-}
-
-type indexEntry struct {
-	key string
-	ix  *index.Index
-}
-
-// defaultIndexCache holds many more entries than the corpus LRU because
-// each one is cheap to keep resident.
-const defaultIndexCache = 256
-
-func newIndexLRU(max int) *indexLRU {
-	if max <= 0 {
-		max = defaultIndexCache
-	}
-	return &indexLRU{max: max, order: list.New(), items: map[string]*list.Element{}}
-}
-
-func (l *indexLRU) get(key string) (*index.Index, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	el, ok := l.items[key]
-	if !ok {
-		return nil, false
-	}
-	l.order.MoveToFront(el)
-	return el.Value.(*indexEntry).ix, true
-}
-
-func (l *indexLRU) add(key string, ix *index.Index) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if el, ok := l.items[key]; ok {
-		l.order.MoveToFront(el)
-		el.Value.(*indexEntry).ix = ix
-		return
-	}
-	l.items[key] = l.order.PushFront(&indexEntry{key: key, ix: ix})
-	for len(l.items) > l.max {
-		oldest := l.order.Back()
-		ent := oldest.Value.(*indexEntry)
-		l.order.Remove(oldest)
-		delete(l.items, ent.key)
-	}
-	metIndexResident.SetInt(int64(len(l.items)))
-}
 
 // index returns one snapshot's query index by corpus CAS key: memoised,
 // else loaded from the store, else rebuilt from the corpus (the lazy
@@ -83,7 +24,7 @@ func (s *Server) index(ctx context.Context, key string) (*index.Index, error) {
 		return ix, nil
 	}
 	if ix, ok := index.Load(s.st, key); ok {
-		s.indexes.add(key, ix)
+		s.memoIndex(key, ix)
 		return ix, nil
 	}
 	c, err := s.corpus(ctx, key)
@@ -95,6 +36,11 @@ func (s *Server) index(ctx context.Context, key string) (*index.Index, error) {
 	if err := index.Persist(s.st, key, ix); err != nil {
 		logf("serve: persisting rebuilt index %s: %v", key, err)
 	}
-	s.indexes.add(key, ix)
+	s.memoIndex(key, ix)
 	return ix, nil
+}
+
+func (s *Server) memoIndex(key string, ix *index.Index) {
+	_, resident := s.indexes.add(key, ix)
+	metIndexResident.SetInt(int64(resident))
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,39 +13,76 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gaugenn/gaugenn/internal/analysis"
 	"github.com/gaugenn/gaugenn/internal/index"
 	"github.com/gaugenn/gaugenn/internal/store"
 )
 
 // TestIndexedResponsesMatchCorpusScan pins the query engine's contract:
-// for every indexed endpoint, the columnar index produces a response
-// byte-identical to the corpus-scan path it replaced.
+// every indexed endpoint answers byte-identically to JSON rendered from
+// the corpus-scan reference functions in internal/analysis
+// (Corpus.Dataset, TemporalDiff, LoadModelSummary) over the persisted
+// corpora.
 func TestIndexedResponsesMatchCorpusScan(t *testing.T) {
 	st, id, res := persistedStudy(t)
-	indexed := httptest.NewServer(New(st).Handler())
-	defer indexed.Close()
-	scan := httptest.NewServer(New(st, withoutIndex()).Handler())
-	defer scan.Close()
+	srv := httptest.NewServer(New(st).Handler())
+	defer srv.Close()
 
-	paths := []string{
-		"/api/studies",
-		"/api/studies/" + id,
-		fmt.Sprintf("/api/diff?from=%s:2020&to=%s:2021", id, id),
-		fmt.Sprintf("/api/diff?from=%s&to=%s", id, id),
+	studies, err := st.Studies()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, u := range res.Corpus21.SortedUniques() {
-		paths = append(paths, "/api/models/"+string(u.Checksum))
+	entry := studies[0]
+	corpora := map[string]*analysis.Corpus{}
+	snaps := map[string]studySnapshot{}
+	for label, key := range entry.Snapshots {
+		c := decodedCorpus(t, st, key)
+		corpora[label] = c
+		snaps[label] = studySnapshot{CorpusKey: key, Dataset: c.Dataset()}
 	}
-	for _, u := range res.Corpus20.SortedUniques() {
-		paths = append(paths, "/api/models/"+string(u.Checksum))
+	rows := analysis.TemporalDiff(corpora["2020"], corpora["2021"])
+	if rows == nil {
+		rows = []analysis.ChurnRow{}
 	}
-	for _, path := range paths {
-		a := get(t, indexed, path, 200)
-		b := get(t, scan, path, 200)
-		if string(a) != string(b) {
-			t.Errorf("GET %s diverges between engines:\nindexed: %s\nscan:    %s", path, a, b)
+	want := map[string]any{
+		"/api/studies":       studies,
+		"/api/studies/" + id: map[string]any{"study": entry, "snapshots": snaps},
+	}
+	for _, args := range [][2]string{{id + ":2020", id + ":2021"}, {id, id}} {
+		path := fmt.Sprintf("/api/diff?from=%s&to=%s", args[0], args[1])
+		want[path] = diffResponse{From: args[0], To: args[1], Rows: rows}
+	}
+	for _, c := range []*analysis.Corpus{res.Corpus20, res.Corpus21} {
+		for _, u := range c.SortedUniques() {
+			ms, ok, err := analysis.LoadModelSummary(st, u.Checksum)
+			if err != nil || !ok {
+				t.Fatalf("LoadModelSummary(%s): ok=%v err=%v", u.Checksum, ok, err)
+			}
+			want["/api/models/"+string(u.Checksum)] = ms
 		}
 	}
+	for path, v := range want {
+		ref := httptest.NewRecorder()
+		writeJSON(ref, http.StatusOK, v)
+		if got := get(t, srv, path, 200); !bytes.Equal(got, ref.Body.Bytes()) {
+			t.Errorf("GET %s diverges from the corpus-scan reference:\nindexed: %s\nscan:    %s", path, got, ref.Body.Bytes())
+		}
+	}
+}
+
+// decodedCorpus loads one persisted corpus snapshot straight from the
+// store, bypassing the server.
+func decodedCorpus(t *testing.T, st *store.Store, key string) *analysis.Corpus {
+	t.Helper()
+	blob, ok, err := st.Get(store.KindCorpus, key)
+	if err != nil || !ok {
+		t.Fatalf("corpus %s: ok=%v err=%v", key, ok, err)
+	}
+	c, err := analysis.DecodeCorpus(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // TestWarmPathDecodesNoCorpus asserts the acceptance criterion directly:

@@ -285,43 +285,18 @@ func TestSSEClientDisconnectMidStream(t *testing.T) {
 // TestSSEStalledReaderResumesGapFree stalls mid-stream until the server
 // cuts the subscriber (lag drop or write deadline), then resumes with
 // Last-Event-ID and verifies the stitched stream has no gap and no
-// duplicate versus a reference reader that never stalled.
+// duplicate versus an uninterrupted replay of the finished job.
 func TestSSEStalledReaderResumesGapFree(t *testing.T) {
 	testutil.NoLeakedGoroutines(t)
 	release := make(chan struct{})
 	// The burst (4000 events) dwarfs the subscriber buffer (256) so the
 	// stalled reader is dropped, while the ring (1<<14) retains
 	// everything so the resume replays gap-free.
-	srv, _ := schedServer(t,
+	srv, sch := schedServer(t,
 		sched.Config{MaxWorkers: 1, RingSize: 1 << 14, Run: emittingRun(4000, release)},
 		WithSSEWriteTimeout(200*time.Millisecond),
 	)
 	job := submitSpec(t, srv, sched.Spec{Seed: 1, Scale: 0.01}, "acme")
-
-	// Reference reader: consumes promptly, sees the whole stream. (No
-	// t.Fatal off the test goroutine: failures travel back on the channel.)
-	refConn := openEvents(t, srv, job.ID, 0)
-	defer refConn.close()
-	type refResult struct {
-		seqs []uint64
-		err  error
-	}
-	refDone := make(chan refResult, 1)
-	go func() {
-		var seqs []uint64
-		for {
-			id, typ, _, err := refConn.next()
-			if err != nil {
-				refDone <- refResult{nil, err}
-				return
-			}
-			seqs = append(seqs, id)
-			if typ == sched.TypeEnd {
-				refDone <- refResult{seqs, nil}
-				return
-			}
-		}
-	}()
 
 	// Stalled reader: take the first frame, then stop consuming.
 	c := openEvents(t, srv, job.ID, 0)
@@ -361,16 +336,24 @@ func TestSSEStalledReaderResumesGapFree(t *testing.T) {
 	}
 	c.close()
 
-	ref := <-refDone
-	if ref.err != nil {
-		t.Fatalf("reference reader: %v", ref.err)
+	// Reference: an uninterrupted replay from cursor 0 once the job is
+	// terminal. A live reader racing the burst is itself subject to the
+	// ring's lag drop, so it cannot serve as the reference; the ring
+	// retains every event, so the replay is the complete stream.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := sch.Wait(ctx, job.ID); err != nil {
+		t.Fatal(err)
 	}
-	if len(ref.seqs) != len(seqs) {
-		t.Fatalf("stalled reader saw %d events, reference saw %d", len(seqs), len(ref.seqs))
+	full := openEvents(t, srv, job.ID, 0)
+	ref, _ := drainToEnd(t, full, 0)
+	full.close()
+	if len(ref) != len(seqs) {
+		t.Fatalf("stalled reader saw %d events, reference saw %d", len(seqs), len(ref))
 	}
-	for i := range ref.seqs {
-		if ref.seqs[i] != seqs[i] {
-			t.Fatalf("stream divergence at %d: %d vs %d", i, seqs[i], ref.seqs[i])
+	for i := range ref {
+		if ref[i] != seqs[i] {
+			t.Fatalf("stream divergence at %d: %d vs %d", i, seqs[i], ref[i])
 		}
 	}
 }

@@ -137,32 +137,6 @@ func TestStudyV2Cancellation(t *testing.T) {
 	}
 }
 
-// TestV1ShimsMatchV2 pins the compatibility contract: the deprecated
-// RunStudy/Config surface produces the same corpora as the v2 Study.
-func TestV1ShimsMatchV2(t *testing.T) {
-	cfg := gaugenn.DefaultConfig(13, 0.02)
-	cfg.UseHTTP = false
-	v1, err := gaugenn.RunStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := gaugenn.NewStudy(gaugenn.WithSeed(13), gaugenn.WithScale(0.02)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for label, pair := range map[string][2]interface{ TotalModels() int }{
-		"2020": {v1.Corpus20, v2.Corpus20},
-		"2021": {v1.Corpus21, v2.Corpus21},
-	} {
-		if pair[0].TotalModels() != pair[1].TotalModels() {
-			t.Fatalf("snapshot %s: v1 %d models, v2 %d", label, pair[0].TotalModels(), pair[1].TotalModels())
-		}
-	}
-	if v1.Corpus21.Dataset() != v2.Corpus21.Dataset() {
-		t.Fatalf("datasets diverge: %+v vs %+v", v1.Corpus21.Dataset(), v2.Corpus21.Dataset())
-	}
-}
-
 // TestStudyV2FailureBudgetSurface exercises the graceful-degradation
 // surface from the public API: a healthy run under zero tolerance must
 // complete with an empty quarantine, and the re-exported types must
