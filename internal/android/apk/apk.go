@@ -8,6 +8,7 @@ package apk
 import (
 	"archive/zip"
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -20,6 +21,10 @@ import (
 // "files – such as DNN weights – can have a larger storage footprint" must
 // move to expansion files or asset packs.
 const MaxBaseAPKSize = 100 * 1024 * 1024
+
+// ErrEntryTooLarge reports an archive member whose uncompressed size is
+// above MaxBaseAPKSize. Such an entry is rejected without being inflated.
+var ErrEntryTooLarge = errors.New("apk: entry larger than the base APK limit")
 
 // ManifestName is the manifest entry every APK must carry.
 const ManifestName = "AndroidManifest.xml"
@@ -264,7 +269,8 @@ func (e *Entry) Size() int { return int(e.f.UncompressedSize64) }
 // payload's CRC32 is verified on every call (stateless, so Data stays safe
 // for concurrent use), matching the integrity check the decompressing path
 // performs at EOF. Compressed entries are inflated into a fresh,
-// exactly-sized buffer.
+// exactly-sized buffer; one declaring more than MaxBaseAPKSize bytes fails
+// with ErrEntryTooLarge before any inflation.
 func (e *Entry) Data() ([]byte, error) {
 	if e.dataOff >= 0 {
 		end := e.dataOff + int64(e.f.UncompressedSize64)
@@ -276,17 +282,18 @@ func (e *Entry) Data() ([]byte, error) {
 		}
 		return data, nil
 	}
+	// archive/zip fails any entry whose inflated size differs from the
+	// declared one, so an entry declaring more than the base-APK ceiling
+	// could only be read by inflating past it: a deflate bomb. Below the
+	// ceiling the declared size bounds the read.
+	if e.f.UncompressedSize64 > MaxBaseAPKSize {
+		return nil, fmt.Errorf("%w: %s declares %d bytes", ErrEntryTooLarge, e.f.Name, e.f.UncompressedSize64)
+	}
 	rc, err := e.f.Open()
 	if err != nil {
 		return nil, err
 	}
 	defer rc.Close()
-	// Pre-size from the directory's declared size, but never trust it
-	// beyond the store's base-APK ceiling: a corrupt or hostile header
-	// must not be able to force an arbitrary allocation.
-	if e.f.UncompressedSize64 > MaxBaseAPKSize {
-		return io.ReadAll(rc)
-	}
 	out := make([]byte, e.f.UncompressedSize64)
 	if _, err := io.ReadFull(rc, out); err != nil {
 		return nil, fmt.Errorf("apk: reading %s: %w", e.f.Name, err)

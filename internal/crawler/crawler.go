@@ -9,6 +9,7 @@ package crawler
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -146,11 +147,12 @@ func (c *Client) getOnce(ctx context.Context, u, path string) (body []byte, retr
 		return nil, true, fmt.Errorf("crawler: GET %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	body, err = readBody(resp.Body, resp.ContentLength)
+	body, err = readBody(resp.Body, resp.ContentLength, apk.MaxBaseAPKSize)
 	metResponseBytes.Add(uint64(len(body)))
 	if err != nil {
 		metRequestFailures.Inc()
-		return nil, true, fmt.Errorf("crawler: reading %s: %w", path, err)
+		// An oversized body would be oversized again: no retry.
+		return nil, !errors.Is(err, ErrBodyTooLarge), fmt.Errorf("crawler: reading %s: %w", path, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		metRequestFailures.Inc()
@@ -435,15 +437,23 @@ func (cr *Crawler) Run(ctx context.Context, label string, handle func(idx int, m
 	return res, nil
 }
 
+// ErrBodyTooLarge reports a response body larger than the base-APK
+// ceiling. The request is not retried, and a download failing with it is
+// quarantined like any other per-app failure.
+var ErrBodyTooLarge = errors.New("crawler: response body larger than the base APK limit")
+
 // readBody drains a response body into a buffer pre-sized from the
 // Content-Length hint, so a 100 MB APK download costs one allocation
-// instead of io.ReadAll's ~18 doubling regrowths. The hint is only trusted
-// up to the store's base-APK ceiling (a hostile header cannot force an
-// arbitrary allocation); unknown or implausible lengths fall back to
-// io.ReadAll.
-func readBody(r io.Reader, contentLength int64) ([]byte, error) {
-	if contentLength <= 0 || contentLength > apk.MaxBaseAPKSize {
-		return io.ReadAll(r)
+// instead of io.ReadAll's ~18 doubling regrowths. No body may exceed limit
+// bytes: a declared length above it fails at once, and a missing length or
+// a body longer than declared is read through an io.LimitReader, failing
+// with ErrBodyTooLarge once it passes limit.
+func readBody(r io.Reader, contentLength, limit int64) ([]byte, error) {
+	if contentLength > limit {
+		return nil, fmt.Errorf("%w: Content-Length %d", ErrBodyTooLarge, contentLength)
+	}
+	if contentLength <= 0 {
+		return readRest(r, nil, limit)
 	}
 	// One spare byte lets the final Read report io.EOF without growing.
 	buf := make([]byte, 0, contentLength+1)
@@ -457,15 +467,27 @@ func readBody(r io.Reader, contentLength int64) ([]byte, error) {
 			return nil, err
 		}
 		if len(buf) == cap(buf) {
-			// Body exceeds the declared length; let ReadAll finish the
-			// (malformed, but tolerated) remainder.
-			rest, err := io.ReadAll(r)
-			if err != nil {
-				return nil, err
-			}
-			return append(buf, rest...), nil
+			// Body exceeds the declared length; finish the (malformed,
+			// but tolerated) remainder within the limit.
+			return readRest(r, buf, limit)
 		}
 	}
+}
+
+// readRest appends the rest of r to buf, reading at most one byte more
+// than limit in total.
+func readRest(r io.Reader, buf []byte, limit int64) ([]byte, error) {
+	rest, err := io.ReadAll(io.LimitReader(r, limit+1-int64(len(buf))))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(buf)+len(rest)) > limit {
+		return nil, fmt.Errorf("%w: more than %d bytes", ErrBodyTooLarge, limit)
+	}
+	if buf == nil {
+		return rest, nil
+	}
+	return append(buf, rest...), nil
 }
 
 func truncate(b []byte, n int) string {

@@ -39,3 +39,35 @@ func BenchmarkExec(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkZooModels measures one inference (input fill, every kernel,
+// metrics, digest) of each zoo model the infer benchmark workload runs —
+// MobileNetV2, BlazeFace and the keyword CNN at zoo seed 31 — in fp32 and
+// PTQ int8. Its per-model rows are recorded in BENCH_exec.json.
+func BenchmarkZooModels(b *testing.B) {
+	for _, m := range []struct {
+		name string
+		task zoo.Task
+	}{
+		{"mobilenetv2", zoo.TaskImageClassification},
+		{"blazeface", zoo.TaskFaceDetection},
+		{"kws", zoo.TaskKeywordDetection},
+	} {
+		for _, quant := range []bool{false, true} {
+			precision := "fp32"
+			if quant {
+				precision = "int8"
+			}
+			b.Run(m.name+"/"+precision, func(b *testing.B) {
+				inst := buildModel(b, zoo.Spec{Task: m.task, Seed: 31, Quantized: quant}).NewInstance()
+				inst.Run(0)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					inst.Run(uint64(i))
+					_ = inst.Digest()
+				}
+			})
+		}
+	}
+}

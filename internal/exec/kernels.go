@@ -14,10 +14,16 @@ import (
 //     weights [inF, units] row-major.
 //   - dst and src never alias (the arena planner keeps a layer's output
 //     disjoint from its live inputs).
-//   - Accumulation order is fixed (kh, kw, ic innermost-to-outermost as
-//     written), so results are bitwise reproducible across runs, workers
-//     and pool sizes — the property the determinism tests pin down.
-//   - Kernels never allocate; any staging space comes from the caller.
+//   - Each output's reduction order is fixed: the conv and depthwise MAC
+//     kernels add their terms in (kh, kw, ic) order, dense in feature
+//     order. Loops over independent outputs may be interchanged or blocked
+//     (the MAC kernels keep output channels innermost, over contiguous
+//     weight rows), but a reduction is never split or reordered, so results
+//     are bitwise reproducible across runs, workers and pool sizes — the
+//     property the determinism tests pin down. im2col/GEMM is not used: it
+//     needs extra scratch memory and risks changing the reduction order.
+//   - Kernels never allocate; any staging space comes from the caller or
+//     is a fixed-size stack array.
 //
 // SAME padding follows the TensorFlow convention: total padding
 // max(0, (out-1)*stride + effectiveKernel - in), split with the smaller
@@ -45,8 +51,14 @@ func dilationOf(a graph.Attrs) int {
 	return 1
 }
 
-// conv2dF32 is the direct (non-im2col) convolution. One fused loop nest:
-// for every output element, accumulate kernel × input-window products.
+// macBlock is the number of int32 accumulators the integer MAC kernels
+// keep on the stack; they walk the output channels in blocks of this size.
+const macBlock = 64
+
+// conv2dF32 is convolution over HWIO weights. For each output pixel it
+// walks the valid taps in (kh, kw, ic) order and broadcasts each input
+// scalar over that tap's contiguous row of outC weights, accumulating in
+// the output row itself.
 func conv2dF32(dst, src, w, bias []float32, in, out graph.Shape, a graph.Attrs) {
 	inH, inW, inC := in[1], in[2], in[3]
 	outH, outW, outC := out[1], out[2], out[3]
@@ -58,31 +70,29 @@ func conv2dF32(dst, src, w, bias []float32, in, out graph.Shape, a graph.Attrs) 
 		dstN := dst[n*outH*outW*outC:]
 		for oh := 0; oh < outH; oh++ {
 			for ow := 0; ow < outW; ow++ {
-				do := (oh*outW + ow) * outC
-				for oc := 0; oc < outC; oc++ {
-					var acc float32
-					for kh := 0; kh < a.KernelH; kh++ {
-						ih := oh*a.StrideH - padT + kh*dil
-						if ih < 0 || ih >= inH {
+				acc := dstN[(oh*outW+ow)*outC:][:outC]
+				clear(acc)
+				for kh := 0; kh < a.KernelH; kh++ {
+					ih := oh*a.StrideH - padT + kh*dil
+					if ih < 0 || ih >= inH {
+						continue
+					}
+					for kw := 0; kw < a.KernelW; kw++ {
+						iw := ow*a.StrideW - padL + kw*dil
+						if iw < 0 || iw >= inW {
 							continue
 						}
-						for kw := 0; kw < a.KernelW; kw++ {
-							iw := ow*a.StrideW - padL + kw*dil
-							if iw < 0 || iw >= inW {
-								continue
-							}
-							si := (ih*inW + iw) * inC
-							wi := ((kh*a.KernelW+kw)*inC)*outC + oc
-							for ic := 0; ic < inC; ic++ {
-								acc += srcN[si+ic] * w[wi+ic*outC]
+						x := srcN[(ih*inW+iw)*inC:][:inC]
+						wt := w[(kh*a.KernelW+kw)*inC*outC:]
+						for ic, xv := range x {
+							row := wt[ic*outC:][:len(acc)]
+							for oc, wv := range row {
+								acc[oc] += xv * wv
 							}
 						}
 					}
-					if bias != nil {
-						acc += bias[oc]
-					}
-					dstN[do+oc] = acc
 				}
+				addBias(acc, bias)
 			}
 		}
 	}
@@ -102,32 +112,29 @@ func conv2dW8(dst, src []float32, w []byte, bias []float32, wScale float32, in, 
 		dstN := dst[n*outH*outW*outC:]
 		for oh := 0; oh < outH; oh++ {
 			for ow := 0; ow < outW; ow++ {
-				do := (oh*outW + ow) * outC
-				for oc := 0; oc < outC; oc++ {
-					var acc float32
-					for kh := 0; kh < a.KernelH; kh++ {
-						ih := oh*a.StrideH - padT + kh*dil
-						if ih < 0 || ih >= inH {
+				acc := dstN[(oh*outW+ow)*outC:][:outC]
+				clear(acc)
+				for kh := 0; kh < a.KernelH; kh++ {
+					ih := oh*a.StrideH - padT + kh*dil
+					if ih < 0 || ih >= inH {
+						continue
+					}
+					for kw := 0; kw < a.KernelW; kw++ {
+						iw := ow*a.StrideW - padL + kw*dil
+						if iw < 0 || iw >= inW {
 							continue
 						}
-						for kw := 0; kw < a.KernelW; kw++ {
-							iw := ow*a.StrideW - padL + kw*dil
-							if iw < 0 || iw >= inW {
-								continue
-							}
-							si := (ih*inW + iw) * inC
-							wi := ((kh*a.KernelW+kw)*inC)*outC + oc
-							for ic := 0; ic < inC; ic++ {
-								acc += srcN[si+ic] * float32(int8(w[wi+ic*outC]))
+						x := srcN[(ih*inW+iw)*inC:][:inC]
+						wt := w[(kh*a.KernelW+kw)*inC*outC:]
+						for ic, xv := range x {
+							row := wt[ic*outC:][:len(acc)]
+							for oc, wq := range row {
+								acc[oc] += xv * float32(int8(wq))
 							}
 						}
 					}
-					acc *= wScale
-					if bias != nil {
-						acc += bias[oc]
-					}
-					dstN[do+oc] = acc
 				}
+				scaleBias(acc, wScale, bias)
 			}
 		}
 	}
@@ -136,21 +143,24 @@ func conv2dW8(dst, src []float32, w []byte, bias []float32, wScale float32, in, 
 // conv2dQ8 is the full int8 path: integer MAC over quantized activations
 // and raw int8 weight bytes, with a float epilogue
 // real = acc · inScale · wScale + bias staged into dst (caller-provided
-// float scratch) for dynamic requantization.
+// float scratch) for dynamic requantization. Output channels are walked in
+// blocks of macBlock int32 accumulators.
 func conv2dQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte, bias []float32, outScale float32, in, out graph.Shape, a graph.Attrs) {
 	inH, inW, inC := in[1], in[2], in[3]
 	outH, outW, outC := out[1], out[2], out[3]
 	dil := dilationOf(a)
 	effKH, effKW := (a.KernelH-1)*dil+1, (a.KernelW-1)*dil+1
 	padT, padL := padOrigin(a, inH, inW, outH, outW, effKH, effKW)
+	var blk [macBlock]int32
 	for n := 0; n < in[0]; n++ {
 		srcN := src[n*inH*inW*inC:]
 		dstN := dst[n*outH*outW*outC:]
 		for oh := 0; oh < outH; oh++ {
 			for ow := 0; ow < outW; ow++ {
 				do := (oh*outW + ow) * outC
-				for oc := 0; oc < outC; oc++ {
-					var acc int32
+				for oc0 := 0; oc0 < outC; oc0 += macBlock {
+					acc := blk[:min(macBlock, outC-oc0)]
+					clear(acc)
 					for kh := 0; kh < a.KernelH; kh++ {
 						ih := oh*a.StrideH - padT + kh*dil
 						if ih < 0 || ih >= inH {
@@ -161,18 +171,21 @@ func conv2dQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte
 							if iw < 0 || iw >= inW {
 								continue
 							}
-							si := (ih*inW + iw) * inC
-							wi := ((kh*a.KernelW+kw)*inC)*outC + oc
-							for ic := 0; ic < inC; ic++ {
-								acc += quantVal(srcN[si+ic], srcUnsigned, srcZP) * int32(int8(w[wi+ic*outC]))
+							x := srcN[(ih*inW+iw)*inC:][:inC]
+							wt := w[(kh*a.KernelW+kw)*inC*outC+oc0:]
+							for ic, xb := range x {
+								xv := quantVal(xb, srcUnsigned, srcZP)
+								if xv == 0 {
+									continue // exact: the terms would all be 0
+								}
+								row := wt[ic*outC:][:len(acc)]
+								for j, wq := range row {
+									acc[j] += xv * int32(int8(wq))
+								}
 							}
 						}
 					}
-					r := float32(acc) * outScale
-					if bias != nil {
-						r += bias[oc]
-					}
-					dstN[do+oc] = r
+					requantEpilogue(dstN[do+oc0:], acc, outScale, bias, oc0)
 				}
 			}
 		}
@@ -188,8 +201,44 @@ func quantVal(b byte, unsigned bool, zp int32) int32 {
 	return int32(int8(b)) - zp
 }
 
+// addBias is the fp32 epilogue acc + bias, in place (nil bias: no-op).
+func addBias(acc, bias []float32) {
+	if bias == nil {
+		return
+	}
+	for oc, b := range bias[:len(acc)] {
+		acc[oc] += b
+	}
+}
+
+// scaleBias is the hybrid epilogue acc·wScale + bias, in place.
+func scaleBias(acc []float32, wScale float32, bias []float32) {
+	for oc, v := range acc {
+		v *= wScale
+		if bias != nil {
+			v += bias[oc]
+		}
+		acc[oc] = v
+	}
+}
+
+// requantEpilogue is the integer epilogue float(acc)·outScale + bias for a
+// block of output channels starting at oc0, written to dst[0:len(acc)].
+func requantEpilogue(dst []float32, acc []int32, outScale float32, bias []float32, oc0 int) {
+	dst = dst[:len(acc)]
+	for j, v := range acc {
+		r := float32(v) * outScale
+		if bias != nil {
+			r += bias[oc0+j]
+		}
+		dst[j] = r
+	}
+}
+
 // dwConvF32 is depthwise convolution: each input channel convolved with its
-// own kernel column; output channel c*mult+m.
+// own kernel column; output channel c*mult+m. Per output pixel the taps run
+// in (kh, kw) order, each one a pass over the contiguous [C, mult] weight
+// row.
 func dwConvF32(dst, src, w, bias []float32, in, out graph.Shape, a graph.Attrs) {
 	inH, inW, inC := in[1], in[2], in[3]
 	outH, outW, outC := out[1], out[2], out[3]
@@ -202,30 +251,33 @@ func dwConvF32(dst, src, w, bias []float32, in, out graph.Shape, a graph.Attrs) 
 		dstN := dst[n*outH*outW*outC:]
 		for oh := 0; oh < outH; oh++ {
 			for ow := 0; ow < outW; ow++ {
-				do := (oh*outW + ow) * outC
-				for c := 0; c < inC; c++ {
-					for m := 0; m < mult; m++ {
-						var acc float32
-						for kh := 0; kh < a.KernelH; kh++ {
-							ih := oh*a.StrideH - padT + kh*dil
-							if ih < 0 || ih >= inH {
-								continue
+				acc := dstN[(oh*outW+ow)*outC:][:inC*mult]
+				clear(acc)
+				for kh := 0; kh < a.KernelH; kh++ {
+					ih := oh*a.StrideH - padT + kh*dil
+					if ih < 0 || ih >= inH {
+						continue
+					}
+					for kw := 0; kw < a.KernelW; kw++ {
+						iw := ow*a.StrideW - padL + kw*dil
+						if iw < 0 || iw >= inW {
+							continue
+						}
+						x := srcN[(ih*inW+iw)*inC:][:inC]
+						row := w[(kh*a.KernelW+kw)*len(acc):][:len(acc)]
+						if mult == 1 {
+							x = x[:len(acc)]
+							for c, wv := range row {
+								acc[c] += x[c] * wv
 							}
-							for kw := 0; kw < a.KernelW; kw++ {
-								iw := ow*a.StrideW - padL + kw*dil
-								if iw < 0 || iw >= inW {
-									continue
-								}
-								acc += srcN[(ih*inW+iw)*inC+c] * w[((kh*a.KernelW+kw)*inC+c)*mult+m]
+						} else {
+							for oc, wv := range row {
+								acc[oc] += x[oc/mult] * wv
 							}
 						}
-						oc := c*mult + m
-						if bias != nil {
-							acc += bias[oc]
-						}
-						dstN[do+oc] = acc
 					}
 				}
+				addBias(acc, bias)
 			}
 		}
 	}
@@ -245,130 +297,140 @@ func dwConvW8(dst, src []float32, w []byte, bias []float32, wScale float32, in, 
 		dstN := dst[n*outH*outW*outC:]
 		for oh := 0; oh < outH; oh++ {
 			for ow := 0; ow < outW; ow++ {
-				do := (oh*outW + ow) * outC
-				for c := 0; c < inC; c++ {
-					for m := 0; m < mult; m++ {
-						var acc float32
-						for kh := 0; kh < a.KernelH; kh++ {
-							ih := oh*a.StrideH - padT + kh*dil
-							if ih < 0 || ih >= inH {
-								continue
+				acc := dstN[(oh*outW+ow)*outC:][:inC*mult]
+				clear(acc)
+				for kh := 0; kh < a.KernelH; kh++ {
+					ih := oh*a.StrideH - padT + kh*dil
+					if ih < 0 || ih >= inH {
+						continue
+					}
+					for kw := 0; kw < a.KernelW; kw++ {
+						iw := ow*a.StrideW - padL + kw*dil
+						if iw < 0 || iw >= inW {
+							continue
+						}
+						x := srcN[(ih*inW+iw)*inC:][:inC]
+						row := w[(kh*a.KernelW+kw)*len(acc):][:len(acc)]
+						if mult == 1 {
+							x = x[:len(acc)]
+							for c, wq := range row {
+								acc[c] += x[c] * float32(int8(wq))
 							}
-							for kw := 0; kw < a.KernelW; kw++ {
-								iw := ow*a.StrideW - padL + kw*dil
-								if iw < 0 || iw >= inW {
-									continue
-								}
-								acc += srcN[(ih*inW+iw)*inC+c] * float32(int8(w[((kh*a.KernelW+kw)*inC+c)*mult+m]))
+						} else {
+							for oc, wq := range row {
+								acc[oc] += x[oc/mult] * float32(int8(wq))
 							}
 						}
-						oc := c*mult + m
-						acc *= wScale
-						if bias != nil {
-							acc += bias[oc]
-						}
-						dstN[do+oc] = acc
 					}
 				}
+				scaleBias(acc, wScale, bias)
 			}
 		}
 	}
 }
 
-// dwConvQ8 is the full int8 depthwise path (integer MAC, float epilogue
-// into scratch).
+// dwConvQ8 is the full int8 depthwise path (integer MAC in blocks of
+// macBlock output channels, float epilogue into scratch).
 func dwConvQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte, bias []float32, outScale float32, in, out graph.Shape, a graph.Attrs) {
 	inH, inW, inC := in[1], in[2], in[3]
 	outH, outW, outC := out[1], out[2], out[3]
 	mult := outC / inC
+	chans := inC * mult
 	dil := dilationOf(a)
 	effKH, effKW := (a.KernelH-1)*dil+1, (a.KernelW-1)*dil+1
 	padT, padL := padOrigin(a, inH, inW, outH, outW, effKH, effKW)
+	var blk [macBlock]int32
 	for n := 0; n < in[0]; n++ {
 		srcN := src[n*inH*inW*inC:]
 		dstN := dst[n*outH*outW*outC:]
 		for oh := 0; oh < outH; oh++ {
 			for ow := 0; ow < outW; ow++ {
 				do := (oh*outW + ow) * outC
-				for c := 0; c < inC; c++ {
-					for m := 0; m < mult; m++ {
-						var acc int32
-						for kh := 0; kh < a.KernelH; kh++ {
-							ih := oh*a.StrideH - padT + kh*dil
-							if ih < 0 || ih >= inH {
+				for oc0 := 0; oc0 < chans; oc0 += macBlock {
+					acc := blk[:min(macBlock, chans-oc0)]
+					clear(acc)
+					for kh := 0; kh < a.KernelH; kh++ {
+						ih := oh*a.StrideH - padT + kh*dil
+						if ih < 0 || ih >= inH {
+							continue
+						}
+						for kw := 0; kw < a.KernelW; kw++ {
+							iw := ow*a.StrideW - padL + kw*dil
+							if iw < 0 || iw >= inW {
 								continue
 							}
-							for kw := 0; kw < a.KernelW; kw++ {
-								iw := ow*a.StrideW - padL + kw*dil
-								if iw < 0 || iw >= inW {
-									continue
+							x := srcN[(ih*inW+iw)*inC:][:inC]
+							row := w[(kh*a.KernelW+kw)*chans+oc0:][:len(acc)]
+							if mult == 1 {
+								xb := x[oc0:][:len(acc)]
+								for j, wq := range row {
+									acc[j] += quantVal(xb[j], srcUnsigned, srcZP) * int32(int8(wq))
 								}
-								acc += quantVal(srcN[(ih*inW+iw)*inC+c], srcUnsigned, srcZP) * int32(int8(w[((kh*a.KernelW+kw)*inC+c)*mult+m]))
+							} else {
+								for j, wq := range row {
+									acc[j] += quantVal(x[(oc0+j)/mult], srcUnsigned, srcZP) * int32(int8(wq))
+								}
 							}
 						}
-						oc := c*mult + m
-						r := float32(acc) * outScale
-						if bias != nil {
-							r += bias[oc]
-						}
-						dstN[do+oc] = r
 					}
+					requantEpilogue(dstN[do+oc0:], acc, outScale, bias, oc0)
 				}
 			}
 		}
 	}
 }
 
-// denseF32 is the fully connected layer over flattened features.
+// denseF32 is the fully connected layer over flattened features: each
+// input feature broadcast over its contiguous row of units weights.
 func denseF32(dst, src, w, bias []float32, batch, inF, units int) {
 	for n := 0; n < batch; n++ {
 		x := src[n*inF : (n+1)*inF]
-		y := dst[n*units : (n+1)*units]
-		for u := 0; u < units; u++ {
-			var acc float32
-			for f := 0; f < inF; f++ {
-				acc += x[f] * w[f*units+u]
+		acc := dst[n*units : (n+1)*units]
+		clear(acc)
+		for f, xv := range x {
+			row := w[f*units:][:len(acc)]
+			for u, wv := range row {
+				acc[u] += xv * wv
 			}
-			if bias != nil {
-				acc += bias[u]
-			}
-			y[u] = acc
 		}
+		addBias(acc, bias)
 	}
 }
 
 func denseW8(dst, src []float32, w []byte, bias []float32, wScale float32, batch, inF, units int) {
 	for n := 0; n < batch; n++ {
 		x := src[n*inF : (n+1)*inF]
-		y := dst[n*units : (n+1)*units]
-		for u := 0; u < units; u++ {
-			var acc float32
-			for f := 0; f < inF; f++ {
-				acc += x[f] * float32(int8(w[f*units+u]))
+		acc := dst[n*units : (n+1)*units]
+		clear(acc)
+		for f, xv := range x {
+			row := w[f*units:][:len(acc)]
+			for u, wq := range row {
+				acc[u] += xv * float32(int8(wq))
 			}
-			acc *= wScale
-			if bias != nil {
-				acc += bias[u]
-			}
-			y[u] = acc
 		}
+		scaleBias(acc, wScale, bias)
 	}
 }
 
 func denseQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte, bias []float32, outScale float32, batch, inF, units int) {
+	var blk [macBlock]int32
 	for n := 0; n < batch; n++ {
 		x := src[n*inF : (n+1)*inF]
 		y := dst[n*units : (n+1)*units]
-		for u := 0; u < units; u++ {
-			var acc int32
-			for f := 0; f < inF; f++ {
-				acc += quantVal(x[f], srcUnsigned, srcZP) * int32(int8(w[f*units+u]))
+		for u0 := 0; u0 < units; u0 += macBlock {
+			acc := blk[:min(macBlock, units-u0)]
+			clear(acc)
+			for f, xb := range x {
+				xv := quantVal(xb, srcUnsigned, srcZP)
+				if xv == 0 {
+					continue
+				}
+				row := w[f*units+u0:][:len(acc)]
+				for j, wq := range row {
+					acc[j] += xv * int32(int8(wq))
+				}
 			}
-			r := float32(acc) * outScale
-			if bias != nil {
-				r += bias[u]
-			}
-			y[u] = r
+			requantEpilogue(y[u0:], acc, outScale, bias, u0)
 		}
 	}
 }
