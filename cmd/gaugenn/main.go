@@ -896,7 +896,11 @@ func runFsck(args []string) error {
 	}
 	var scanned int
 	for _, kind := range []string{store.KindCorpus, store.KindReport, store.KindGraph, store.KindAnalysis, store.KindPayload, store.KindIndex} {
-		fmt.Fprintf(os.Stderr, "fsck: %s: %d blob(s)\n", kind, res.Scanned[kind])
+		stale := ""
+		if n := res.Stale[kind]; n > 0 {
+			stale = fmt.Sprintf(", %d stale (pre-sha256 key, never read)", n)
+		}
+		fmt.Fprintf(os.Stderr, "fsck: %s: %d blob(s)%s\n", kind, res.Scanned[kind], stale)
 		scanned += res.Scanned[kind]
 	}
 	fmt.Fprintf(os.Stderr, "fsck: manifest: %d entries\n", res.ManifestEntries)

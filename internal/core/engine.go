@@ -31,7 +31,9 @@ type PersistStats struct {
 	// CorpusKeys maps snapshot label -> corpus blob key in the CAS.
 	CorpusKeys map[string]string
 	// WarmReports counts APKs whose extraction report was loaded from the
-	// store; ExtractedReports counts APKs extracted in this run.
+	// store, including APKs another worker extracted earlier in the same
+	// run (the other snapshot's copy of a shared APK); ExtractedReports
+	// counts APKs extracted in this run.
 	WarmReports, ExtractedReports int64
 	// Cache is the analysis cache's decode/profile/warm-hit breakdown.
 	Cache analysis.CacheStats
@@ -72,6 +74,11 @@ type studyEngine struct {
 	warmReports atomic.Int64
 	extracted   atomic.Int64
 
+	// flightMu guards flights: one entry per report key whose cold
+	// extraction is in progress (see claimReport).
+	flightMu sync.Mutex
+	flights  map[string]chan struct{}
+
 	// quarMu guards the study-wide quarantine list; per-snapshot budget
 	// arithmetic lives on each appFailures ledger.
 	quarMu sync.Mutex
@@ -79,7 +86,7 @@ type studyEngine struct {
 }
 
 func newStudyEngine(cfg Config) (*studyEngine, error) {
-	e := &studyEngine{cfg: cfg, times: newStageTimes()}
+	e := &studyEngine{cfg: cfg, times: newStageTimes(), flights: map[string]chan struct{}{}}
 	if cfg.CacheDir != "" {
 		var (
 			st  *store.Store
@@ -249,6 +256,13 @@ func (sc *stageCounter) step() {
 // without persistence); warm reports are already persisted, cold ones are
 // persisted by the caller after ingest so their models' analysis records
 // land first (see persistReport).
+//
+// When resuming, each report key is single-flight: a cold report holds
+// its key's flight, and the caller must call landReport(key) once the
+// report is persisted or its ingest or persist has failed. A worker that
+// meets the same APK meanwhile (the other snapshot's copy) waits for the
+// landing, then takes the warm path, so each distinct APK is extracted
+// once per run.
 func (e *studyEngine) loadReport(ctx context.Context, apkBytes []byte) (rep *extract.Report, key string, warm bool, err error) {
 	if e.st == nil {
 		rep, err = extract.ExtractAPKCached(ctx, apkBytes, e.cache)
@@ -257,6 +271,12 @@ func (e *studyEngine) loadReport(ctx context.Context, apkBytes []byte) (rep *ext
 	h := extract.HashAPK(apkBytes)
 	key = store.HexKey(h[:])
 	if e.cfg.Resume {
+		// The flight is claimed before the store read: a worker that read a
+		// miss and only then looked for a flight could arrive after the
+		// leader landed and extract the APK a second time.
+		if err := e.claimReport(ctx, key); err != nil {
+			return nil, "", false, err
+		}
 		// A store read error is treated exactly like a cache miss: the warm
 		// path is an optimisation, and a failing disk read must degrade to
 		// recomputation, not kill the study. (Writes are different — see
@@ -270,6 +290,7 @@ func (e *studyEngine) loadReport(ctx context.Context, apkBytes []byte) (rep *ext
 			// self-heals — the current run re-persists every artifact under
 			// the current layout.
 			if rep, err := extract.DecodeReport(data); err == nil && e.analysesResolvable(rep) {
+				e.landReport(key)
 				e.warmReports.Add(1)
 				return rep, key, true, nil
 			}
@@ -279,10 +300,48 @@ func (e *studyEngine) loadReport(ctx context.Context, apkBytes []byte) (rep *ext
 	}
 	rep, err = extract.ExtractAPKCached(ctx, apkBytes, e.cache)
 	if err != nil {
+		e.landReport(key)
 		return nil, "", false, err
 	}
 	e.extracted.Add(1)
 	return rep, key, false, nil
+}
+
+// claimReport makes the calling worker the only one resolving key. While
+// another worker holds the key it waits for that flight to land, then
+// tries again: the store then holds the report, or the holder failed and
+// this worker takes over (so an APK that fails in both snapshots is
+// quarantined in both). Waiting happens before the worker holds any
+// payload or checksum flight, so waits cannot form a cycle.
+func (e *studyEngine) claimReport(ctx context.Context, key string) error {
+	for {
+		e.flightMu.Lock()
+		landed, busy := e.flights[key]
+		if !busy {
+			e.flights[key] = make(chan struct{})
+		}
+		e.flightMu.Unlock()
+		if !busy {
+			return nil
+		}
+		select {
+		case <-landed:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// landReport releases key's flight, waking every worker waiting on it. It
+// is a no-op for a key nobody claimed (no store, or Resume off).
+func (e *studyEngine) landReport(key string) {
+	e.flightMu.Lock()
+	landed, ok := e.flights[key]
+	delete(e.flights, key)
+	e.flightMu.Unlock()
+	if ok {
+		close(landed)
+	}
 }
 
 // analysesResolvable reports whether every model checksum in a persisted
@@ -486,6 +545,9 @@ func (e *studyEngine) runSnapshot(ctx context.Context, meta *docstore.Store, sna
 		rep, key, warm, err := e.loadReport(hctx, apkBytes)
 		if err != nil {
 			return errs.Stage("extract", label, fmt.Errorf("core: extracting %s: %w", pkg, err))
+		}
+		if !warm {
+			defer e.landReport(key)
 		}
 		if err := shards.AddReport(hctx, idx, category, rep); err != nil {
 			return errs.Stage("analyse", label, err)

@@ -1,7 +1,7 @@
 package extract
 
 import (
-	"crypto/md5"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -22,9 +22,11 @@ const reportCodecVersion = 2
 // extraction reports. Equal bytes imply an identical extraction outcome,
 // because extraction is a pure function of the package bytes. The hash is
 // domain-separated from model payload hashes (see HashPayload) so an APK
-// and a model file with equal bytes can never collide in the store.
+// and a model file with equal bytes can never collide in the store. The
+// hash is sha256: the bytes are untrusted, and a crafted package sharing
+// another's key would poison the warm report cache.
 func HashAPK(apkBytes []byte) PayloadHash {
-	h := md5.New()
+	h := sha256.New()
 	io.WriteString(h, "apk\x00")
 	var lenBuf [8]byte
 	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(apkBytes)))

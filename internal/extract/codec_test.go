@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/gaugenn/gaugenn/internal/cloudml"
+	"github.com/gaugenn/gaugenn/internal/nn/formats"
 	"github.com/gaugenn/gaugenn/internal/nn/zoo"
 )
 
@@ -127,5 +128,16 @@ func TestHashAPKDomainSeparated(t *testing.T) {
 	}
 	if a == HashAPK([]byte("different")) {
 		t.Fatal("distinct contents must hash apart")
+	}
+	// An APK and a model file-set holding the very same bytes never share
+	// a key, even when the file-set's format is named "apk".
+	for _, p := range []PayloadHash{
+		HashPayload("tflite", formats.FileSet{"m.tflite": data}),
+		HashPayload("apk", formats.FileSet{"": data}),
+		HashPayload("", formats.FileSet{"": data}),
+	} {
+		if p == a {
+			t.Fatalf("payload hash %x equals the APK hash of the same bytes", p)
+		}
 	}
 }

@@ -18,7 +18,7 @@ package extract
 
 import (
 	"context"
-	"crypto/md5"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -80,8 +80,10 @@ type Report struct {
 func (r *Report) HasMLLibrary() bool { return len(r.Frameworks) > 0 }
 
 // PayloadHash identifies a candidate file-set (format + file names +
-// bytes) before any decoding happens — the hash-before-decode key.
-type PayloadHash [md5.Size]byte
+// bytes) before any decoding happens — the hash-before-decode key. It is
+// a sha256 digest, so its hex form (the payload and report store key) is
+// 64 characters.
+type PayloadHash [sha256.Size]byte
 
 // DecodeCache is the payload-hash front door extraction consults before
 // decoding a candidate file-set. Payload must be single-flight per hash:
@@ -105,7 +107,7 @@ func HashPayload(format string, set formats.FileSet) PayloadHash {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	h := md5.New()
+	h := sha256.New()
 	var lenBuf [8]byte
 	io.WriteString(h, format)
 	h.Write(lenBuf[:1]) // separator
@@ -549,7 +551,7 @@ func extractEntries(ctx context.Context, entries []entry, cache DecodeCache) (*R
 
 // decodeSet validates and decodes one candidate file-set, going through
 // the cache's payload front door when one is wired in (hash-before-decode:
-// duplicate payloads cost one md5 pass instead of a full graph decode).
+// duplicate payloads cost one sha256 pass instead of a full graph decode).
 // err is non-nil only for cancellation, which must abort the whole report
 // rather than count as a failed validation.
 func decodeSet(ctx context.Context, cache DecodeCache, format formats.Format, set formats.FileSet) (graph.Checksum, *graph.Graph, bool, error) {

@@ -58,6 +58,11 @@ func (i Issue) String() string {
 type Result struct {
 	// Scanned counts the blobs examined, per kind.
 	Scanned map[string]int
+	// Stale counts, per kind, report and payload blobs under a key the
+	// current code never looks up: keys that are not sha256 hex, left by
+	// the md5 era. They are neither validated nor counted in Scanned, and
+	// never quarantined — a stale blob is a miss, not corruption.
+	Stale map[string]int
 	// ManifestEntries counts the manifest's valid entries.
 	ManifestEntries int
 	// Issues lists every problem found, in deterministic order.
@@ -84,7 +89,7 @@ func Run(dir string, opts Options) (*Result, error) {
 	if _, err := os.Stat(dir); err != nil {
 		return nil, fmt.Errorf("fsck: %w", err)
 	}
-	res := &Result{Scanned: map[string]int{}}
+	res := &Result{Scanned: map[string]int{}, Stale: map[string]int{}}
 	for _, kind := range kinds {
 		if err := checkKind(dir, kind, opts, res); err != nil {
 			return nil, err
@@ -119,6 +124,10 @@ func checkKind(dir, kind string, opts Options, res *Result) error {
 			}
 			key := b.Name()
 			path := filepath.Join(dir, kind, sh.Name(), key)
+			if staleKey(kind, key) {
+				res.Stale[kind]++
+				continue
+			}
 			res.Scanned[kind]++
 			data, err := os.ReadFile(path)
 			if err != nil {
@@ -141,6 +150,16 @@ func checkKind(dir, kind string, opts Options, res *Result) error {
 	// ReadDir returns sorted names, so issues are already deterministic
 	// within a kind; kinds run in fixed order.
 	return nil
+}
+
+// staleKey reports whether a report or payload blob sits under a key of
+// the wrong length for extract's sha256 content keys.
+func staleKey(kind, key string) bool {
+	if kind != store.KindReport && kind != store.KindPayload {
+		return false
+	}
+	var h extract.PayloadHash
+	return len(key) != 2*len(h)
 }
 
 // validateBlob applies the kind-specific validity check.

@@ -2,6 +2,8 @@ package fsck
 
 import (
 	"context"
+	"crypto/md5"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,8 +11,12 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/gaugenn/gaugenn/internal/analysis"
 	"github.com/gaugenn/gaugenn/internal/core"
+	"github.com/gaugenn/gaugenn/internal/extract"
 	"github.com/gaugenn/gaugenn/internal/faults"
+	"github.com/gaugenn/gaugenn/internal/nn/formats"
+	"github.com/gaugenn/gaugenn/internal/nn/graph"
 	"github.com/gaugenn/gaugenn/internal/store"
 )
 
@@ -276,5 +282,71 @@ func TestManifestTornTailAndGarbageRepair(t *testing.T) {
 func TestRunRejectsMissingDir(t *testing.T) {
 	if _, err := Run(filepath.Join(t.TempDir(), "nope"), Options{}); err == nil {
 		t.Fatal("missing store dir must error")
+	}
+}
+
+// TestStaleMD5KeysAreNotCorruption plants report and payload records
+// under 32-hex (md5-era) keys, which the sha256-keyed pipeline never
+// looks up: the audit counts them as stale, stays clean, and -fix leaves
+// them where they are.
+func TestStaleMD5KeysAreNotCorruption(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A current (sha256-keyed) failed-decode payload record, copied under
+	// an md5-era key.
+	uc := analysis.NewPersistentUniqueCache(false, st, true)
+	h := extract.HashPayload("tflite", formats.FileSet{"junk.tflite": []byte("not a model")})
+	if _, _, err := uc.Payload(context.Background(), h, func() (*graph.Graph, error) {
+		return nil, errors.New("not a model")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := uc.PersistErr(); err != nil {
+		t.Fatal(err)
+	}
+	payload, ok, err := st.Get(store.KindPayload, store.HexKey(h[:]))
+	if err != nil || !ok {
+		t.Fatalf("payload record not persisted: ok=%v err=%v", ok, err)
+	}
+	report, err := extract.EncodeReport(&extract.Report{Package: "com.example.stale"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	md5Key := func(s string) string { sum := md5.Sum([]byte(s)); return store.HexKey(sum[:]) }
+	staleReport, stalePayload := md5Key("report"), md5Key("payload")
+	for _, b := range []struct {
+		kind, key string
+		data      []byte
+	}{{store.KindReport, staleReport, report}, {store.KindPayload, stalePayload, payload}} {
+		if err := st.Put(b.kind, b.key, b.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, fix := range []bool{false, true} {
+		res, err := Run(dir, Options{Fix: fix})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Clean() {
+			t.Fatalf("fix=%v: stale keys reported as issues: %v", fix, res.Issues)
+		}
+		if res.Stale[store.KindReport] != 1 || res.Stale[store.KindPayload] != 1 {
+			t.Fatalf("fix=%v: stale = %v, want report 1, payload 1", fix, res.Stale)
+		}
+		if res.Scanned[store.KindPayload] != 1 || res.Scanned[store.KindReport] != 0 {
+			t.Fatalf("fix=%v: scanned = %v, want only the sha256 payload record", fix, res.Scanned)
+		}
+	}
+	for kind, key := range map[string]string{store.KindReport: staleReport, store.KindPayload: stalePayload} {
+		if !st.Has(kind, key) {
+			t.Fatalf("-fix moved the stale %s blob %s", kind, key)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine")); !os.IsNotExist(err) {
+		t.Fatalf("-fix quarantined something: %v", err)
 	}
 }
