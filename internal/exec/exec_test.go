@@ -98,12 +98,13 @@ func TestPoolDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestInt8AgreesWithFP32 runs the same models in fp32 and the two
-// quantized regimes and checks the documented end-to-end tolerance: cosine
+// TestInt8AgreesWithFP32 runs the infer benchmark's three models
+// (MobileNetV2, BlazeFace, keyword CNN) in fp32 and the two quantized
+// regimes and checks the documented end-to-end tolerance: cosine
 // similarity of the final outputs ≥ 0.95 (docs/exec.md derives this from
 // the per-op error budget of dynamic-range int8).
 func TestInt8AgreesWithFP32(t *testing.T) {
-	for _, task := range []zoo.Task{zoo.TaskImageClassification, zoo.TaskKeywordDetection} {
+	for _, task := range []zoo.Task{zoo.TaskImageClassification, zoo.TaskFaceDetection, zoo.TaskKeywordDetection} {
 		ref := buildModel(t, zoo.Spec{Task: task, Seed: 31})
 		for _, variant := range []zoo.Spec{
 			{Task: task, Seed: 31, Quantized: true},

@@ -188,10 +188,10 @@ func (in *Instance) floatViewAt(tid int, off *int) []float32 {
 
 // storeQuant dynamic-range requantizes a real-valued result into a
 // quantized tensor's byte buffer: scale = maxabs/limit, zero-point 0 (128
-// for uint8).
-func (in *Instance) storeQuant(tid int, src []float32) {
+// for uint8). maxabs is src's max|v| as maxAbs or activateMax computes it.
+func (in *Instance) storeQuant(tid int, src []float32, maxabs float32) {
 	t := &in.prog.tensors[tid]
-	scale := maxAbs(src) / quantLimit(t.dtype)
+	scale := float64(maxabs) / quantLimit(t.dtype)
 	if scale == 0 {
 		scale = 1
 	}
@@ -216,7 +216,7 @@ func (in *Instance) runStep(st *step) {
 			requantize(in.raw(st.out), src, out.dtype, out.scale, out.zeroPoint)
 			in.scales[st.out], in.zps[st.out] = out.scale, out.zeroPoint
 		} else {
-			in.storeQuant(st.out, src)
+			in.storeQuant(st.out, src, float32(maxAbs(src)))
 		}
 		return
 	case graph.OpDequantize:
@@ -249,18 +249,28 @@ func (in *Instance) runMAC(st *step, out *tensorInfo) {
 	// Quantized activations stage their real-valued result in scratch,
 	// then dynamic-range requantize into the output buffer.
 	dst := in.scratch[:out.elems]
+	var m float32
 	if st.wRaw != nil && (t0.dtype == graph.Int8 || t0.dtype == graph.UInt8) {
+		// The integer kernels fold ReLU/ReLU6 and the max scan into their
+		// epilogue; any other fused activation runs afterwards.
+		var act graph.OpType
+		if foldsIntoMax(st.fused) {
+			act = st.fused
+		}
 		src := in.raw(st.in[0])
-		unsigned := t0.dtype == graph.UInt8
+		zp, unsigned := in.zps[st.in[0]], t0.dtype == graph.UInt8
 		epi := float32(in.scales[st.in[0]] * st.wScale)
 		switch st.op {
 		case graph.OpConv2D:
-			conv2dQ8(dst, src, in.zps[st.in[0]], unsigned, st.wRaw, st.bFloat, epi, t0.shape, out.shape, st.attrs)
+			m = conv2dQ8(dst, src, zp, unsigned, st.wRaw, st.bFloat, epi, act, t0.shape, out.shape, st.attrs)
 		case graph.OpDepthwiseConv2D:
-			dwConvQ8(dst, src, in.zps[st.in[0]], unsigned, st.wRaw, st.bFloat, epi, t0.shape, out.shape, st.attrs)
+			m = dwConvQ8(dst, src, zp, unsigned, st.wRaw, st.bFloat, epi, act, t0.shape, out.shape, st.attrs)
 		default:
 			batch, inF, units := denseDims(t0, out)
-			denseQ8(dst, src, in.zps[st.in[0]], unsigned, st.wRaw, st.bFloat, epi, batch, inF, units)
+			m = denseQ8(dst, src, zp, unsigned, st.wRaw, st.bFloat, epi, act, batch, inF, units)
+		}
+		if act != st.fused {
+			m = in.activateQuant(st, dst, out)
 		}
 	} else {
 		// Int16 (or float-weight) fallback: dequantize activations to
@@ -268,11 +278,20 @@ func (in *Instance) runMAC(st *step, out *tensorInfo) {
 		off := out.elems
 		src := in.floatViewAt(st.in[0], &off)
 		in.macFloat(st, src, dst, t0, out)
+		m = in.activateQuant(st, dst, out)
 	}
-	if st.fused.Valid() {
+	in.storeQuant(st.out, dst, m)
+}
+
+// activateQuant applies a quantized-output layer's fused activation to its
+// real-valued result and returns max|r|, folding ReLU/ReLU6 into the max
+// scan.
+func (in *Instance) activateQuant(st *step, dst []float32, out *tensorInfo) float32 {
+	if st.fused.Valid() && !foldsIntoMax(st.fused) {
 		applyActivation(dst, st.fused, nil, lastDimOf(out.shape))
+		return float32(maxAbs(dst))
 	}
-	in.storeQuant(st.out, dst)
+	return activateMax(dst, st.fused)
 }
 
 func (in *Instance) macFloat(st *step, src, dst []float32, t0, out *tensorInfo) {
@@ -377,12 +396,13 @@ func (in *Instance) runGeneric(st *step, out *tensorInfo) {
 	default:
 		copy(dst, x) // unreachable: Validate rejected everything else
 	}
-	if st.fused.Valid() {
-		applyActivation(dst, st.fused, nil, lastDimOf(out.shape))
+	if out.isFloat {
+		if st.fused.Valid() {
+			applyActivation(dst, st.fused, nil, lastDimOf(out.shape))
+		}
+		return
 	}
-	if !out.isFloat {
-		in.storeQuant(st.out, dst)
-	}
+	in.storeQuant(st.out, dst, in.activateQuant(st, dst, out))
 }
 
 func lastDimOf(s graph.Shape) int {

@@ -6,7 +6,8 @@ import (
 	"github.com/gaugenn/gaugenn/internal/nn/graph"
 )
 
-// Reference fp32 kernels. Contracts shared by every kernel in this file:
+// Reference fp32 kernels. Contracts shared by every kernel in this file and
+// the integer kernels in kernels_q8.go:
 //
 //   - Layouts follow the graph builder: activations NHWC, conv kernels HWIO
 //     [kh, kw, inC, outC], depthwise kernels [kh, kw, C, mult] (output
@@ -14,14 +15,17 @@ import (
 //     weights [inF, units] row-major.
 //   - dst and src never alias (the arena planner keeps a layer's output
 //     disjoint from its live inputs).
-//   - Each output's reduction order is fixed: the conv and depthwise MAC
+//   - Float reductions have a fixed order: the conv and depthwise MAC
 //     kernels add their terms in (kh, kw, ic) order, dense in feature
 //     order. Loops over independent outputs may be interchanged or blocked
 //     (the MAC kernels keep output channels innermost, over contiguous
-//     weight rows), but a reduction is never split or reordered, so results
-//     are bitwise reproducible across runs, workers and pool sizes — the
-//     property the determinism tests pin down. im2col/GEMM is not used: it
-//     needs extra scratch memory and risks changing the reduction order.
+//     weight rows), but a float reduction is never split or reordered,
+//     because float addition is not associative. Integer reductions are
+//     exact (int64 sums truncated to int32 equal the wrapped int32 sum in
+//     any order), so the integer kernels split, group and reorder them
+//     freely. Either way results are bitwise reproducible across runs,
+//     workers and pool sizes — the property the determinism tests pin down
+//     — and bit-identical to the textbook loop nests kept as test oracles.
 //   - Kernels never allocate; any staging space comes from the caller or
 //     is a fixed-size stack array.
 //
@@ -50,10 +54,6 @@ func dilationOf(a graph.Attrs) int {
 	}
 	return 1
 }
-
-// macBlock is the number of int32 accumulators the integer MAC kernels
-// keep on the stack; they walk the output channels in blocks of this size.
-const macBlock = 64
 
 // conv2dF32 is convolution over HWIO weights. For each output pixel it
 // walks the valid taps in (kh, kw, ic) order and broadcasts each input
@@ -140,67 +140,6 @@ func conv2dW8(dst, src []float32, w []byte, bias []float32, wScale float32, in, 
 	}
 }
 
-// conv2dQ8 is the full int8 path: integer MAC over quantized activations
-// and raw int8 weight bytes, with a float epilogue
-// real = acc · inScale · wScale + bias staged into dst (caller-provided
-// float scratch) for dynamic requantization. Output channels are walked in
-// blocks of macBlock int32 accumulators.
-func conv2dQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte, bias []float32, outScale float32, in, out graph.Shape, a graph.Attrs) {
-	inH, inW, inC := in[1], in[2], in[3]
-	outH, outW, outC := out[1], out[2], out[3]
-	dil := dilationOf(a)
-	effKH, effKW := (a.KernelH-1)*dil+1, (a.KernelW-1)*dil+1
-	padT, padL := padOrigin(a, inH, inW, outH, outW, effKH, effKW)
-	var blk [macBlock]int32
-	for n := 0; n < in[0]; n++ {
-		srcN := src[n*inH*inW*inC:]
-		dstN := dst[n*outH*outW*outC:]
-		for oh := 0; oh < outH; oh++ {
-			for ow := 0; ow < outW; ow++ {
-				do := (oh*outW + ow) * outC
-				for oc0 := 0; oc0 < outC; oc0 += macBlock {
-					acc := blk[:min(macBlock, outC-oc0)]
-					clear(acc)
-					for kh := 0; kh < a.KernelH; kh++ {
-						ih := oh*a.StrideH - padT + kh*dil
-						if ih < 0 || ih >= inH {
-							continue
-						}
-						for kw := 0; kw < a.KernelW; kw++ {
-							iw := ow*a.StrideW - padL + kw*dil
-							if iw < 0 || iw >= inW {
-								continue
-							}
-							x := srcN[(ih*inW+iw)*inC:][:inC]
-							wt := w[(kh*a.KernelW+kw)*inC*outC+oc0:]
-							for ic, xb := range x {
-								xv := quantVal(xb, srcUnsigned, srcZP)
-								if xv == 0 {
-									continue // exact: the terms would all be 0
-								}
-								row := wt[ic*outC:][:len(acc)]
-								for j, wq := range row {
-									acc[j] += xv * int32(int8(wq))
-								}
-							}
-						}
-					}
-					requantEpilogue(dstN[do+oc0:], acc, outScale, bias, oc0)
-				}
-			}
-		}
-	}
-}
-
-// quantVal reads one quantized activation byte as a zero-point-corrected
-// signed value.
-func quantVal(b byte, unsigned bool, zp int32) int32 {
-	if unsigned {
-		return int32(b) - zp
-	}
-	return int32(int8(b)) - zp
-}
-
 // addBias is the fp32 epilogue acc + bias, in place (nil bias: no-op).
 func addBias(acc, bias []float32) {
 	if bias == nil {
@@ -219,19 +158,6 @@ func scaleBias(acc []float32, wScale float32, bias []float32) {
 			v += bias[oc]
 		}
 		acc[oc] = v
-	}
-}
-
-// requantEpilogue is the integer epilogue float(acc)·outScale + bias for a
-// block of output channels starting at oc0, written to dst[0:len(acc)].
-func requantEpilogue(dst []float32, acc []int32, outScale float32, bias []float32, oc0 int) {
-	dst = dst[:len(acc)]
-	for j, v := range acc {
-		r := float32(v) * outScale
-		if bias != nil {
-			r += bias[oc0+j]
-		}
-		dst[j] = r
 	}
 }
 
@@ -329,57 +255,6 @@ func dwConvW8(dst, src []float32, w []byte, bias []float32, wScale float32, in, 
 	}
 }
 
-// dwConvQ8 is the full int8 depthwise path (integer MAC in blocks of
-// macBlock output channels, float epilogue into scratch).
-func dwConvQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte, bias []float32, outScale float32, in, out graph.Shape, a graph.Attrs) {
-	inH, inW, inC := in[1], in[2], in[3]
-	outH, outW, outC := out[1], out[2], out[3]
-	mult := outC / inC
-	chans := inC * mult
-	dil := dilationOf(a)
-	effKH, effKW := (a.KernelH-1)*dil+1, (a.KernelW-1)*dil+1
-	padT, padL := padOrigin(a, inH, inW, outH, outW, effKH, effKW)
-	var blk [macBlock]int32
-	for n := 0; n < in[0]; n++ {
-		srcN := src[n*inH*inW*inC:]
-		dstN := dst[n*outH*outW*outC:]
-		for oh := 0; oh < outH; oh++ {
-			for ow := 0; ow < outW; ow++ {
-				do := (oh*outW + ow) * outC
-				for oc0 := 0; oc0 < chans; oc0 += macBlock {
-					acc := blk[:min(macBlock, chans-oc0)]
-					clear(acc)
-					for kh := 0; kh < a.KernelH; kh++ {
-						ih := oh*a.StrideH - padT + kh*dil
-						if ih < 0 || ih >= inH {
-							continue
-						}
-						for kw := 0; kw < a.KernelW; kw++ {
-							iw := ow*a.StrideW - padL + kw*dil
-							if iw < 0 || iw >= inW {
-								continue
-							}
-							x := srcN[(ih*inW+iw)*inC:][:inC]
-							row := w[(kh*a.KernelW+kw)*chans+oc0:][:len(acc)]
-							if mult == 1 {
-								xb := x[oc0:][:len(acc)]
-								for j, wq := range row {
-									acc[j] += quantVal(xb[j], srcUnsigned, srcZP) * int32(int8(wq))
-								}
-							} else {
-								for j, wq := range row {
-									acc[j] += quantVal(x[(oc0+j)/mult], srcUnsigned, srcZP) * int32(int8(wq))
-								}
-							}
-						}
-					}
-					requantEpilogue(dstN[do+oc0:], acc, outScale, bias, oc0)
-				}
-			}
-		}
-	}
-}
-
 // denseF32 is the fully connected layer over flattened features: each
 // input feature broadcast over its contiguous row of units weights.
 func denseF32(dst, src, w, bias []float32, batch, inF, units int) {
@@ -409,29 +284,6 @@ func denseW8(dst, src []float32, w []byte, bias []float32, wScale float32, batch
 			}
 		}
 		scaleBias(acc, wScale, bias)
-	}
-}
-
-func denseQ8(dst []float32, src []byte, srcZP int32, srcUnsigned bool, w []byte, bias []float32, outScale float32, batch, inF, units int) {
-	var blk [macBlock]int32
-	for n := 0; n < batch; n++ {
-		x := src[n*inF : (n+1)*inF]
-		y := dst[n*units : (n+1)*units]
-		for u0 := 0; u0 < units; u0 += macBlock {
-			acc := blk[:min(macBlock, units-u0)]
-			clear(acc)
-			for f, xb := range x {
-				xv := quantVal(xb, srcUnsigned, srcZP)
-				if xv == 0 {
-					continue
-				}
-				row := w[f*units+u0:][:len(acc)]
-				for j, wq := range row {
-					acc[j] += xv * int32(int8(wq))
-				}
-			}
-			requantEpilogue(y[u0:], acc, outScale, bias, u0)
-		}
 	}
 }
 

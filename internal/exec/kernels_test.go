@@ -107,11 +107,11 @@ func TestQ8IntegerMAC(t *testing.T) {
 	dst := make([]float32, 1)
 	src := []byte{0x02, 0xFD}
 	w := []byte{0x05, 0x07}
-	denseQ8(dst, src, 0, false, w, nil, float32(0.1*0.01), 1, 2, 1)
+	denseQ8(dst, src, 0, false, w, nil, float32(0.1*0.01), graph.OpInvalid, 1, 2, 1)
 	almost(t, "q8 dense", dst, []float32{-0.011}, 1e-7)
 
 	// uint8 input with zero-point 128: q=130 ≡ +2, q=125 ≡ -3.
-	denseQ8(dst, []byte{130, 125}, 128, true, w, nil, float32(0.1*0.01), 1, 2, 1)
+	denseQ8(dst, []byte{130, 125}, 128, true, w, nil, float32(0.1*0.01), graph.OpInvalid, 1, 2, 1)
 	almost(t, "q8 dense u8", dst, []float32{-0.011}, 1e-7)
 }
 

@@ -84,8 +84,18 @@ func quantLimit(dt graph.DType) float64 {
 	}
 }
 
+// roundShift is 1.5·2^52: adding and subtracting it rounds a float64 with
+// |x| < 2^51 to the nearest integer, ties to even, in two exact steps.
+const roundShift = 0x1.8p52
+
 // requantize stores real-valued src into the quantized byte buffer dst
-// with the given scale/zeroPoint, clamping to the dtype's range.
+// with the given scale/zeroPoint, clamping to the dtype's range. Rounding
+// is math.RoundToEven without its data-dependent branches: (x+1.5·2^52)
+// −1.5·2^52 for every x. Below 2^51 in magnitude that is exact
+// round-half-even; NaN and ±Inf pass through unchanged; larger values stay
+// out of int32 range with their sign, as RoundToEven's results do, so the
+// int32 conversion sees the same class of input. The explicit float64()
+// keeps x·inv from fusing with the shift into an FMA.
 func requantize(dst []byte, src []float32, dt graph.DType, scale float64, zp int32) {
 	inv := 0.0
 	if scale != 0 {
@@ -93,34 +103,21 @@ func requantize(dst []byte, src []float32, dt graph.DType, scale float64, zp int
 	}
 	switch dt {
 	case graph.UInt8:
+		dst = dst[:len(src)]
 		for i, v := range src {
-			q := int32(math.RoundToEven(float64(v)*inv)) + zp
-			if q < 0 {
-				q = 0
-			} else if q > 255 {
-				q = 255
-			}
-			dst[i] = byte(q)
+			q := int32(float64(float64(v)*inv)+roundShift-roundShift) + zp
+			dst[i] = byte(min(max(q, 0), 255))
 		}
 	case graph.Int16:
 		for i, v := range src {
-			q := int32(math.RoundToEven(float64(v)*inv)) + zp
-			if q < -32768 {
-				q = -32768
-			} else if q > 32767 {
-				q = 32767
-			}
-			binary.LittleEndian.PutUint16(dst[i*2:], uint16(int16(q)))
+			q := int32(float64(float64(v)*inv)+roundShift-roundShift) + zp
+			binary.LittleEndian.PutUint16(dst[i*2:], uint16(int16(min(max(q, -32768), 32767))))
 		}
 	default: // Int8
+		dst = dst[:len(src)]
 		for i, v := range src {
-			q := int32(math.RoundToEven(float64(v)*inv)) + zp
-			if q < -128 {
-				q = -128
-			} else if q > 127 {
-				q = 127
-			}
-			dst[i] = byte(int8(q))
+			q := int32(float64(float64(v)*inv)+roundShift-roundShift) + zp
+			dst[i] = byte(int8(min(max(q, -128), 127)))
 		}
 	}
 }
@@ -148,7 +145,8 @@ func dequantize(dst []float32, src []byte, dt graph.DType, scale float64, zp int
 	}
 }
 
-// maxAbs returns the dynamic range of a real-valued tensor.
+// maxAbs returns the dynamic range of a real-valued tensor. NaNs are
+// skipped (no comparison with a NaN is true).
 func maxAbs(x []float32) float64 {
 	var m float32
 	for _, v := range x {
@@ -160,6 +158,61 @@ func maxAbs(x []float32) float64 {
 		}
 	}
 	return float64(m)
+}
+
+// activateMax applies act to x in place and returns max|x| with maxAbs's
+// semantics. act is OpReLU, OpReLU6 or OpInvalid (scan only); see
+// foldsIntoMax.
+func activateMax(x []float32, act graph.OpType) float32 {
+	var top uint32
+	for _, v := range x {
+		top = max(top, absBits(v))
+	}
+	return activateTop(x, act, top)
+}
+
+// absBits is |v|'s bit pattern. Non-negative floats order like their bit
+// patterns as unsigned integers, with every NaN above +Inf, so a running
+// max of absBits is an integer min/max (CMOV) rather than a data-dependent
+// branch on a random sign.
+func absBits(v float32) uint32 { return math.Float32bits(v) &^ (1 << 31) }
+
+// activateTop is activateMax for a caller that already has top, the max
+// absBits of x. A NaN pattern there sends the block through the branchy
+// applyActivation and maxAbs, which skip NaNs. Without NaNs, ReLU and
+// ReLU6 also run on bit patterns; they differ from applyActivation only by
+// writing +0 where it keeps a −0, which no quantized byte can tell apart.
+func activateTop(x []float32, act graph.OpType, top uint32) float32 {
+	if top > 0x7f800000 {
+		applyActivation(x, act, nil, 1)
+		return float32(maxAbs(x))
+	}
+	switch act {
+	case graph.OpReLU:
+		top = 0
+		for i, v := range x {
+			b := math.Float32bits(v)
+			b &^= uint32(int32(b) >> 31) // negative → +0
+			x[i] = math.Float32frombits(b)
+			top = max(top, b)
+		}
+	case graph.OpReLU6:
+		six := math.Float32bits(6)
+		top = 0
+		for i, v := range x {
+			b := math.Float32bits(v)
+			b = min(b&^uint32(int32(b)>>31), six)
+			x[i] = math.Float32frombits(b)
+			top = max(top, b)
+		}
+	}
+	return math.Float32frombits(top)
+}
+
+// foldsIntoMax reports whether activateMax applies a fused activation
+// itself; the others run through applyActivation first.
+func foldsIntoMax(act graph.OpType) bool {
+	return act == graph.OpReLU || act == graph.OpReLU6
 }
 
 // splitmix64 is the deterministic input generator: one multiply-shift
